@@ -8,6 +8,11 @@
 namespace sw::core {
 
 CompiledKernel SwGemmCompiler::compile(const CodegenOptions& options) const {
+  return compileNamed(options, {});
+}
+
+CompiledKernel SwGemmCompiler::compileNamed(const CodegenOptions& options,
+                                            const std::string& name) const {
   trace::Span span("compile",
                    {trace::arg("tileM", options.tileM),
                     trace::arg("tileN", options.tileN),
@@ -20,6 +25,7 @@ CompiledKernel SwGemmCompiler::compile(const CodegenOptions& options) const {
   CompiledKernel kernel;
   kernel.options = options;
   kernel.program = std::move(pipeline.program);
+  if (!name.empty()) kernel.program.name = name;
   kernel.initialTreeDump = std::move(pipeline.initialTreeDump);
   kernel.tiledTreeDump = std::move(pipeline.tiledTreeDump);
   kernel.finalTreeDump = std::move(pipeline.finalTreeDump);

@@ -31,11 +31,26 @@ struct CompiledKernel {
   std::string initialTreeDump;
   std::string tiledTreeDump;
   std::string finalTreeDump;
-  /// Lowered hot-path execution plan (runtime/plan.h), produced once here
-  /// and shared by every run of this kernel.  Not serialized — re-lowered
-  /// when a kernel is loaded from the persistent cache.
+  /// Lowered hot-path execution plan (runtime/plan.h), produced once at
+  /// compile time and shared by every run of this kernel.
   std::shared_ptr<const rt::ExecutionPlan> plan;
 };
+
+/// A naive C GEMM source classified by the frontend (§2.3): the caller's
+/// function name, and `base` with the pattern-derived fields (batched,
+/// transposes, fusion) taken from the source.
+struct SourceRequest {
+  std::string functionName;
+  CodegenOptions options;
+};
+
+/// Parse and classify `source`; throws InputError on sources outside the
+/// accepted GEMM patterns.
+[[nodiscard]] SourceRequest analyzeSourceRequest(const std::string& source,
+                                                 CodegenOptions base);
+
+/// Re-title `kernel` as `name` and re-print its athread sources under it.
+void renameKernel(CompiledKernel& kernel, const std::string& name);
 
 class SwGemmCompiler {
  public:
@@ -55,6 +70,10 @@ class SwGemmCompiler {
                                              CodegenOptions base = {}) const;
 
  private:
+  /// compile() under an explicit kernel name; empty keeps the pipeline's.
+  [[nodiscard]] CompiledKernel compileNamed(const CodegenOptions& options,
+                                            const std::string& name) const;
+
   sunway::ArchConfig arch_;
 };
 

@@ -5,8 +5,8 @@
 
 namespace sw::core {
 
-CompiledKernel SwGemmCompiler::compileSource(const std::string& source,
-                                             CodegenOptions base) const {
+SourceRequest analyzeSourceRequest(const std::string& source,
+                                   CodegenOptions base) {
   frontend::GemmPatternInfo pattern;
   {
     trace::Span span("frontend.parse",
@@ -30,15 +30,22 @@ CompiledKernel SwGemmCompiler::compileSource(const std::string& source,
       base.fusion = FusionKind::kEpilogueRelu;
       break;
   }
-  CompiledKernel kernel = compile(base);
-  // Name the generated kernel after the user's function and re-emit the
-  // sources under that name.
-  kernel.program.name = pattern.functionName;
+  return SourceRequest{std::move(pattern.functionName), base};
+}
+
+void renameKernel(CompiledKernel& kernel, const std::string& name) {
+  kernel.program.name = name;
   codegen::GeneratedSources sources =
       codegen::printAthreadSources(kernel.program);
   kernel.cpeSource = std::move(sources.cpe);
   kernel.mpeSource = std::move(sources.mpe);
-  return kernel;
+}
+
+CompiledKernel SwGemmCompiler::compileSource(const std::string& source,
+                                             CodegenOptions base) const {
+  const SourceRequest request = analyzeSourceRequest(source, base);
+  // Name the kernel after the user's function before its one print.
+  return compileNamed(request.options, request.functionName);
 }
 
 }  // namespace sw::core

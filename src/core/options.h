@@ -4,6 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+
+#include "sunway/arch.h"
 
 namespace sw::core {
 
@@ -60,6 +63,22 @@ struct CodegenOptions {
   /// zero-padding convention.  Padded shapes bind none of the clamps, so
   /// an edge-tile kernel on padded inputs behaves exactly like a plain one.
   bool edgeTiles = false;
+
+  friend bool operator==(const CodegenOptions&,
+                         const CodegenOptions&) = default;
 };
+
+/// Format version of canonicalRequestKey.  Bump it only when the key's
+/// layout changes: tuning-DB records are addressed by keys that embed it,
+/// so a bump re-tunes every stored shape.
+inline constexpr int kRequestKeyVersion = 3;
+
+/// Canonical, byte-stable rendering of everything a compile's output
+/// depends on: every CodegenOptions field plus every ArchConfig field.
+/// Two requests with equal keys produce byte-identical kernels (see
+/// tests/compile_determinism_test.cc), so the kernel service's LRU and the
+/// tuning database both address their entries by this key.
+[[nodiscard]] std::string canonicalRequestKey(const CodegenOptions& options,
+                                              const sunway::ArchConfig& arch);
 
 }  // namespace sw::core

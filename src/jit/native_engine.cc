@@ -68,13 +68,13 @@ std::string envOr(const char* name, const std::string& fallback) {
   throw TransientError(strCat("native engine unavailable: ", why));
 }
 
-std::string readTail(const fs::path& path, std::size_t maxBytes = 800) {
+std::string readTail(const fs::path& path, std::size_t maxChars = 800) {
   std::ifstream in(path);
   if (!in) return {};
   std::stringstream buffer;
   buffer << in.rdbuf();
   std::string text = buffer.str();
-  if (text.size() > maxBytes) text = "..." + text.substr(text.size() - maxBytes);
+  if (text.size() > maxChars) text = "..." + text.substr(text.size() - maxChars);
   for (char& c : text)
     if (c == '\n') c = ' ';
   return text;
@@ -222,14 +222,6 @@ std::string nativeObjectPath(const NativeEngineConfig& config,
                              const std::string& digest) {
   return (fs::path(resolveNativeCacheDir(config)) / (digest + ".so"))
       .string();
-}
-
-std::int64_t nativeObjectBytes(const codegen::KernelProgram& program,
-                               const NativeEngineConfig& config) {
-  std::error_code ec;
-  const auto size =
-      fs::file_size(nativeObjectPath(config, nativeObjectDigest(program)), ec);
-  return ec ? 0 : static_cast<std::int64_t>(size);
 }
 
 void resetNativeEngineForTest() {

@@ -13,7 +13,6 @@
 // failing the run.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -78,12 +77,6 @@ NativeRunResult runNative(const codegen::KernelProgram& program,
 /// "cc").
 [[nodiscard]] std::string resolveNativeCompiler(
     const NativeEngineConfig& config);
-
-/// Bytes of cached .so artifacts currently on disk for `program` under
-/// `config`'s cache (0 when absent); used by the kernel service's cache
-/// budget accounting.
-[[nodiscard]] std::int64_t nativeObjectBytes(
-    const codegen::KernelProgram& program, const NativeEngineConfig& config);
 
 /// Drop the in-process dlopen handle table (handles themselves are never
 /// dlclosed — compiled code may still be executing).  Tests use this to

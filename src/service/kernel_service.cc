@@ -4,14 +4,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <thread>
 #include <utility>
 
-#include "codegen/athread_printer.h"
-#include "core/kernel_serdes.h"
-#include "frontend/pattern.h"
 #include "jit/native_engine.h"
 #include "runtime/plan.h"
 #include "support/digest.h"
@@ -28,27 +24,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Disk-entry magic; the directory name carries the serdes version, the
-/// magic guards against foreign files landing in the cache directory.
-constexpr std::string_view kDiskMagic = "swkcache1 ";
-
-std::string versionDirName() {
-  return strCat("v", core::kKernelSerdesVersion);
-}
-
 double nowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Where the tuning database lives: an explicit tuningDir wins, else the
-/// issue's `<cacheDir>/tune` layout, else nowhere (no persistence).
-std::string effectiveTuningDir(const KernelServiceConfig& config) {
-  if (!config.tuningDir.empty()) return config.tuningDir;
-  if (!config.cacheDir.empty())
-    return (fs::path(config.cacheDir) / "tune").string();
-  return {};
 }
 
 /// Record one request latency into the named histogram, refresh the
@@ -67,7 +46,6 @@ std::string recordLatency(const char* histogram, double seconds) {
 const char* toString(ServeOutcome outcome) {
   switch (outcome) {
     case ServeOutcome::kMemoryHit: return "memory_hit";
-    case ServeOutcome::kDiskHit: return "disk_hit";
     case ServeOutcome::kCompiled: return "compile";
     case ServeOutcome::kShared: return "shared";
   }
@@ -87,7 +65,7 @@ KernelService::KernelService(CompileFn compileFn, sunway::ArchConfig arch,
     : compileFn_(std::move(compileFn)),
       arch_(arch),
       config_(std::move(config)),
-      tuningDb_(effectiveTuningDir(config_)) {}
+      tuningDb_(config_.tuningDir) {}
 
 KernelService::KernelPtr KernelService::compile(
     const core::CodegenOptions& options) {
@@ -154,61 +132,41 @@ KernelService::KernelPtr KernelService::serve(
 KernelService::KernelPtr KernelService::produce(
     const std::string& key, const core::CodegenOptions& options,
     ServeOutcome* outcome) {
-  std::int64_t bytes = 0;
-  if (KernelPtr fromDisk = tryLoadFromDisk(key, &bytes)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.diskHits;
-    admitLocked(key, fromDisk, bytes);
-    *outcome = ServeOutcome::kDiskHit;
-    return fromDisk;
-  }
-
   core::CompiledKernel compiled = compileFn_(options);
   // Custom CompileFn implementations (test doubles) may hand back plan-less
   // kernels; every kernel served by the cache carries its lowered plan.
   if (!compiled.plan) compiled.plan = rt::lowerToPlan(compiled.program);
-  auto kernel =
-      std::make_shared<const core::CompiledKernel>(std::move(compiled));
-  const std::string serialized = serializeCompiledKernel(*kernel);
-  storeToDisk(key, serialized);
+  Entry entry{key,
+              std::make_shared<const core::CompiledKernel>(std::move(compiled)),
+              {}};
+  if (config_.nativeEngine) {
+    // Digesting the kernel prints its whole host TU: do it before locking.
+    jit::NativeEngineConfig jitConfig;
+    jitConfig.cacheDir = config_.jitCacheDir;
+    entry.soPath = jit::nativeObjectPath(
+        jitConfig, jit::nativeObjectDigest(entry.kernel->program));
+  }
+  KernelPtr kernel = entry.kernel;
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.compiles;
-  admitLocked(key, kernel, static_cast<std::int64_t>(serialized.size()));
+  admitLocked(std::move(entry));
   *outcome = ServeOutcome::kCompiled;
   return kernel;
 }
 
-void KernelService::admitLocked(const std::string& key,
-                                const KernelPtr& kernel, std::int64_t bytes) {
-  Entry entry{key, kernel, bytes, {}};
-  if (config_.nativeEngine) {
-    // The kernel's JIT object is part of its cache footprint: charge the
-    // artifact against the same byte budget, and let eviction reclaim it.
-    jit::NativeEngineConfig jitConfig;
-    jitConfig.cacheDir = config_.jitCacheDir;
-    const std::int64_t soBytes =
-        jit::nativeObjectBytes(kernel->program, jitConfig);
-    if (soBytes > 0) {
-      entry.bytes += soBytes;
-      entry.soPath = jit::nativeObjectPath(
-          jitConfig, jit::nativeObjectDigest(kernel->program));
-    }
-  }
-  stats_.bytes += entry.bytes;
+void KernelService::admitLocked(Entry entry) {
+  const std::string key = entry.key;
   lru_.push_front(std::move(entry));
   index_[key] = lru_.begin();
-  while (lru_.size() > 1 &&
-         (lru_.size() > config_.maxEntries || stats_.bytes > config_.maxBytes)) {
+  while (lru_.size() > config_.maxEntries && lru_.size() > 1) {
     const Entry& victim = lru_.back();
-    stats_.bytes -= victim.bytes;
     ++stats_.evictions;
     if (!victim.soPath.empty()) {
-      // Best effort: the engine recompiles on demand, so a removal failure
-      // only means the budget frees slower than accounted.
+      // Best effort: the engine recompiles on demand.
       std::error_code ec;
-      fs::remove(victim.soPath, ec);
+      const bool removed = fs::remove(victim.soPath, ec);
       SW_DEBUG("service", "event=evict_jit_object path=", victim.soPath,
-               " removed=", ec ? "false" : "true");
+               " removed=", removed ? "true" : "false");
     }
     index_.erase(victim.key);
     lru_.pop_back();
@@ -222,139 +180,26 @@ void KernelService::publishGaugesLocked() const {
                static_cast<double>(stats_.requests));
   registry.set("service.cache.memory_hits",
                static_cast<double>(stats_.memoryHits));
-  registry.set("service.cache.disk_hits",
-               static_cast<double>(stats_.diskHits));
   registry.set("service.cache.compiles",
                static_cast<double>(stats_.compiles));
   registry.set("service.cache.shared", static_cast<double>(stats_.shared));
   registry.set("service.cache.evictions",
                static_cast<double>(stats_.evictions));
-  registry.set("service.cache.corrupt_disk_entries",
-               static_cast<double>(stats_.corruptDiskEntries));
   registry.set("service.cache.entries", static_cast<double>(stats_.entries));
-  registry.set("service.cache.bytes", static_cast<double>(stats_.bytes));
   registry.set("service.cache.hit_rate", stats_.hitRate());
-}
-
-std::string KernelService::diskPathForKey(
-    const std::string& canonicalKey) const {
-  if (config_.cacheDir.empty()) return {};
-  return (fs::path(config_.cacheDir) / versionDirName() /
-          (digestHex(fnv1a64(canonicalKey)) + ".swk"))
-      .string();
-}
-
-KernelService::KernelPtr KernelService::tryLoadFromDisk(
-    const std::string& key, std::int64_t* bytes) {
-  const std::string path = diskPathForKey(key);
-  if (path.empty()) return nullptr;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return nullptr;  // plain miss
-  std::ostringstream body;
-  body << in.rdbuf();
-  const std::string content = body.str();
-
-  try {
-    if (content.compare(0, kDiskMagic.size(), kDiskMagic) != 0)
-      throwInput("bad cache-entry magic");
-    std::size_t pos = kDiskMagic.size();
-    const std::size_t colon = content.find(':', pos);
-    if (colon == std::string::npos)
-      throwInput("cache entry missing key length");
-    const std::string lenText = content.substr(pos, colon - pos);
-    char* end = nullptr;
-    const long long keyLen = std::strtoll(lenText.c_str(), &end, 10);
-    if (end != lenText.c_str() + lenText.size() || keyLen < 0 ||
-        colon + 1 + static_cast<std::size_t>(keyLen) > content.size())
-      throwInput("cache entry key truncated");
-    const std::string storedKey =
-        content.substr(colon + 1, static_cast<std::size_t>(keyLen));
-    if (storedKey != key)
-      throwInput("cache entry key mismatch (digest collision or stale file)");
-    const std::string serialized =
-        content.substr(colon + 1 + static_cast<std::size_t>(keyLen));
-    *bytes = static_cast<std::int64_t>(serialized.size());
-    return std::make_shared<const core::CompiledKernel>(
-        core::deserializeCompiledKernel(serialized));
-  } catch (const Error& e) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.corruptDiskEntries;
-    }
-    SW_WARN("service",
-            "event=cache_entry_corrupt path=", path,
-            " action=recompile error=\"", e.what(), "\"");
-    std::error_code ec;
-    fs::remove(path, ec);  // best effort; the rewrite overwrites anyway
-    return nullptr;
-  }
-}
-
-void KernelService::storeToDisk(const std::string& key,
-                                const std::string& serialized) {
-  const std::string path = diskPathForKey(key);
-  if (path.empty()) return;
-  try {
-    fs::create_directories(fs::path(path).parent_path());
-    // Atomic publish: write the full entry to a per-thread temp name in
-    // the same directory, then rename over the final path.  Readers never
-    // observe a partial file.
-    static std::atomic<std::uint64_t> tmpCounter{0};
-    const std::string tmpPath =
-        strCat(path, ".tmp.", tmpCounter.fetch_add(1));
-    {
-      std::ofstream out(tmpPath, std::ios::binary | std::ios::trunc);
-      if (!out) throwInput(strCat("cannot open '", tmpPath, "'"));
-      out << kDiskMagic << key.size() << ':' << key << serialized;
-      out.flush();
-      if (!out) throwInput(strCat("short write to '", tmpPath, "'"));
-    }
-    fs::rename(tmpPath, path);
-    SW_DEBUG("service", "event=cache_entry_stored path=", path,
-             " bytes=", serialized.size());
-  } catch (const std::exception& e) {
-    // A failed store degrades to a cold cache, never a failed request.
-    SW_WARN("service", "event=cache_store_failed path=", path,
-            " error=\"", e.what(), "\"");
-  }
 }
 
 core::CompiledKernel KernelService::compileSource(const std::string& source,
                                                   core::CodegenOptions base,
                                                   ServeOutcome* outcome) {
-  frontend::GemmPatternInfo pattern;
-  {
-    trace::Span span("frontend.parse",
-                     {trace::arg("sourceBytes",
-                                 static_cast<std::int64_t>(source.size()))});
-    pattern = frontend::analyzeGemmSource(source);
-  }
-  base.batched = pattern.batched;
-  base.transposeA = pattern.transposeA;
-  base.transposeB = pattern.transposeB;
-  switch (pattern.fusion) {
-    case frontend::FusionPattern::kNone:
-      base.fusion = core::FusionKind::kNone;
-      break;
-    case frontend::FusionPattern::kPrologueQuantize:
-      base.fusion = core::FusionKind::kPrologueQuantize;
-      break;
-    case frontend::FusionPattern::kEpilogueRelu:
-      base.fusion = core::FusionKind::kEpilogueRelu;
-      break;
-  }
+  const core::SourceRequest request = core::analyzeSourceRequest(source, base);
   ServeOutcome localOutcome;
-  KernelPtr cached = compile(base, &localOutcome);
+  KernelPtr cached = compile(request.options, &localOutcome);
   if (outcome != nullptr) *outcome = localOutcome;
-  // The cache stores the canonical kernel; rename to the user's function
-  // and re-print the sources under that name (printing is cheap relative
-  // to the pipeline).
+  // The cache stores the canonical kernel; serve a copy under the user's
+  // function name.
   core::CompiledKernel kernel = *cached;
-  kernel.program.name = pattern.functionName;
-  codegen::GeneratedSources sources =
-      codegen::printAthreadSources(kernel.program);
-  kernel.cpeSource = std::move(sources.cpe);
-  kernel.mpeSource = std::move(sources.mpe);
+  core::renameKernel(kernel, request.functionName);
   return kernel;
 }
 
@@ -436,7 +281,6 @@ void KernelService::clearMemoryCache() {
   std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();
   index_.clear();
-  stats_.bytes = 0;
   stats_.entries = 0;
   publishGaugesLocked();
 }
@@ -727,7 +571,7 @@ KernelService::ResolvedSchedule KernelService::resolveSchedule(
       publishTunerGaugesLocked();
     }
     return finish(std::move(record),
-                  fromDisk ? ResolvedSchedule::Source::kDiskHit
+                  fromDisk ? ResolvedSchedule::Source::kTuningDb
                            : ResolvedSchedule::Source::kSearch,
                   fromDisk ? "db_hit" : "search");
   } catch (...) {

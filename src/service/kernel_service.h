@@ -2,26 +2,27 @@
 //
 // Production GEMM workloads hammer a small, repeated set of kernel
 // signatures, so re-running the polyhedral pipeline (§3–§7) per request is
-// the dominant avoidable cost.  KernelService removes it with three
+// the dominant avoidable cost.  KernelService removes it with two
 // cooperating mechanisms:
-//   * an in-memory LRU cache with an entry count and byte budget,
-//   * a persistent on-disk cache (versioned layout, atomic write-then-
-//     rename, corrupt or stale-version entries recompiled with a warning),
+//   * an in-memory LRU cache bounded by an entry count,
 //   * single-flight deduplication: N concurrent requests for the same key
 //     trigger exactly one pipeline run, the rest block on its result.
 // A thread-pool batch API (compileBatch) compiles a manifest of shapes
 // concurrently; the CLI exposes it as `swcodegen --serve-batch/--warm`.
+// Kernels are not persisted: a cold compile costs about a millisecond, so
+// a new process recompiles.  The persistent stores are the tuning
+// database (`tuningDir`, whose searches cost seconds) and the native
+// engine's .so cache (whose `cc` runs cost far more than a compile).
 //
-// Requests are addressed by the canonical cache key of
-// core::canonicalRequestKey (every CodegenOptions + ArchConfig field, plus
-// the serdes version).  Cache correctness rests on compile determinism —
-// identical keys yield byte-identical kernels — which
+// Requests are addressed by core::canonicalRequestKey (every
+// CodegenOptions + ArchConfig field).  Cache correctness rests on compile
+// determinism — identical keys yield byte-identical kernels — which
 // tests/compile_determinism_test.cc guards.
 //
 // Observability: every request opens a trace span on its worker thread
-// ("service.request", outcome=memory_hit|disk_hit|compile|shared) and the
-// service publishes "service.cache.*" gauges (hits, misses, evictions,
-// entries, bytes, hit_rate) into the global MetricsRegistry.
+// ("service.request", outcome=memory_hit|compile|shared) and the service
+// publishes "service.cache.*" gauges (hits, compiles, evictions, entries,
+// hit_rate) into the global MetricsRegistry.
 #pragma once
 
 #include <cstdint>
@@ -43,23 +44,15 @@
 namespace sw::service {
 
 struct KernelServiceConfig {
-  /// In-memory LRU budget: maximum cached kernels and maximum total
-  /// serialized bytes.  Admitting a kernel evicts least-recently-used
-  /// entries until both budgets hold again (the newest entry is kept even
-  /// if it alone exceeds maxBytes).
+  /// In-memory LRU budget: admitting a kernel beyond this many entries
+  /// evicts the least-recently-used one.
   std::size_t maxEntries = 128;
-  std::int64_t maxBytes = std::int64_t{256} * 1024 * 1024;
-
-  /// Persistent cache directory; empty disables the disk tier.  Entries
-  /// live under `<cacheDir>/v<serdes-version>/<key-digest>.swk`.
-  std::string cacheDir;
 
   /// Worker threads for compileBatch; 0 picks hardware_concurrency.
   int threads = 0;
 
-  /// Persistent tuning database root for resolveSchedule; empty falls
-  /// back to `<cacheDir>/tune` (the issue's layout), or disables
-  /// persistence when there is no cacheDir either.  Records live under
+  /// Persistent tuning database root for resolveSchedule; empty disables
+  /// persistence.  Records live under
   /// `<dir>/v<tuning-db-version>/<tune-key-digest>.json`.
   std::string tuningDir;
 
@@ -71,9 +64,9 @@ struct KernelServiceConfig {
   /// default — the generated host objects spawn 64 raw pthreads, which
   /// sanitizer builds cannot instrument.
   bool nativeEngine = false;
-  /// JIT object cache root for the native rung and for the LRU byte-budget
-  /// accounting of cached .so artifacts; empty resolves the jit defaults
-  /// ($SWCODEGEN_JIT_CACHE_DIR, then a per-user temp directory).
+  /// JIT object cache root for the native rung, whose cached .so files
+  /// are removed when their kernel is evicted; empty resolves the jit
+  /// defaults ($SWCODEGEN_JIT_CACHE_DIR, then a per-user temp directory).
   std::string jitCacheDir;
 };
 
@@ -81,7 +74,6 @@ struct KernelServiceConfig {
 /// aggregate by stats().
 enum class ServeOutcome {
   kMemoryHit,  // served from the in-memory LRU
-  kDiskHit,    // deserialized from the persistent cache
   kCompiled,   // full pipeline run
   kShared,     // joined an in-flight compile of the same key
 };
@@ -91,15 +83,12 @@ enum class ServeOutcome {
 struct KernelServiceStats {
   std::int64_t requests = 0;
   std::int64_t memoryHits = 0;
-  std::int64_t diskHits = 0;
   std::int64_t compiles = 0;
   std::int64_t shared = 0;          // single-flight joiners
   std::int64_t evictions = 0;
-  std::int64_t corruptDiskEntries = 0;
   std::size_t entries = 0;          // current LRU size
-  std::int64_t bytes = 0;           // current LRU serialized bytes
 
-  // resolveSchedule traffic: full searches run, tuning-DB disk hits, and
+  // resolveSchedule traffic: full searches run, tuning-DB hits, and
   // joiners that shared an in-flight search of the same key.
   std::int64_t tuneSearches = 0;
   std::int64_t tuneDbHits = 0;
@@ -109,7 +98,7 @@ struct KernelServiceStats {
   [[nodiscard]] double hitRate() const {
     return requests == 0
                ? 0.0
-               : static_cast<double>(memoryHits + diskHits + shared) /
+               : static_cast<double>(memoryHits + shared) /
                      static_cast<double>(requests);
   }
 };
@@ -131,7 +120,7 @@ class KernelService {
   [[nodiscard]] const sunway::ArchConfig& arch() const { return arch_; }
   [[nodiscard]] const KernelServiceConfig& config() const { return config_; }
 
-  /// Serve one request through the cache tiers.  Thread-safe; concurrent
+  /// Serve one request through the cache.  Thread-safe; concurrent
   /// calls with the same key share one underlying compile.  Exceptions
   /// from the pipeline propagate to every waiter of the key.
   KernelPtr compile(const core::CodegenOptions& options);
@@ -228,7 +217,7 @@ class KernelService {
     /// Where the schedule came from.
     enum class Source {
       kSearch,   // ran the two-stage search (and persisted the winner)
-      kDiskHit,  // served from the tuning database
+      kTuningDb,  // served from the tuning database
       kShared,   // joined an in-flight search of the same key
     };
     /// The base options overlaid with the winning schedule — what the
@@ -256,46 +245,34 @@ class KernelService {
       const core::GemmProblem&, const tuning::TunerConfig&)>;
   void setSearchFnForTest(SearchFn searchFn);
 
-  /// Absolute path a tune key's DB record would live at; empty when the
-  /// service has neither a tuningDir nor a cacheDir.
+  /// Absolute path a tune key's DB record would live at; empty without a
+  /// tuningDir.
   [[nodiscard]] std::string tuningDbPath(const std::string& tuneKey) const;
 
   [[nodiscard]] KernelServiceStats stats() const;
 
-  /// Drop the in-memory tier (the disk tier is untouched).
+  /// Drop every cached kernel.
   void clearMemoryCache();
-
-  /// Absolute path a key's disk entry would live at; empty without a
-  /// cacheDir.  Exposed for tests and the CLI's cache report.
-  [[nodiscard]] std::string diskPathForKey(const std::string& canonicalKey) const;
 
  private:
   struct Entry {
     std::string key;
     KernelPtr kernel;
-    /// LRU byte charge: serialized kernel bytes plus the kernel's cached
-    /// JIT .so artifact (when one exists on disk at admission time).
-    std::int64_t bytes = 0;
-    /// Path of the kernel's JIT object; evicting the entry removes it
-    /// best-effort so the byte budget bounds real disk+memory footprint.
+    /// Path of the kernel's JIT object (native engine only); evicting the
+    /// entry removes it best-effort, so cached .so files stay bounded by
+    /// maxEntries too.
     std::string soPath;
   };
   using LruList = std::list<Entry>;
 
   KernelPtr serve(const std::string& key, const core::CodegenOptions& options,
                   ServeOutcome* outcome);
-  /// Leader path: disk load or compile, then admit + store.  Never holds
-  /// mutex_ while compiling.
+  /// Leader path: compile, then admit.  Never holds mutex_ while
+  /// compiling.
   KernelPtr produce(const std::string& key,
                     const core::CodegenOptions& options, ServeOutcome* outcome);
-  void admitLocked(const std::string& key, const KernelPtr& kernel,
-                   std::int64_t bytes);
+  void admitLocked(Entry entry);
   void publishGaugesLocked() const;
-
-  /// Disk tier; both return/log through the structured logger.  On success
-  /// `bytes` receives the entry's serialized size (the LRU charge).
-  KernelPtr tryLoadFromDisk(const std::string& key, std::int64_t* bytes);
-  void storeToDisk(const std::string& key, const std::string& serialized);
 
   /// Leader path of resolveSchedule: DB lookup, search, store.
   tuning::TunedScheduleRecord produceSchedule(

@@ -1,7 +1,7 @@
 // Tests of the persistent tuning database (src/tuning/tuning_db.*) and
 // its service integration (KernelService::resolveSchedule): round-trip,
-// corrupt/truncated/stale recovery, the `<cacheDir>/tune` fallback, and
-// single-flight deduplication of concurrent searches.
+// corrupt/truncated/stale recovery, and single-flight deduplication of
+// concurrent searches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -230,30 +230,12 @@ TEST(ResolveSchedule, SecondCallServesFromTheTuningDb) {
   reloaded.setSearchFnForTest(countingSearch(&searches));
   const KernelService::ResolvedSchedule second =
       reloaded.resolveSchedule(core::CodegenOptions{}, problem);
-  EXPECT_EQ(second.source, KernelService::ResolvedSchedule::Source::kDiskHit);
+  EXPECT_EQ(second.source, KernelService::ResolvedSchedule::Source::kTuningDb);
   EXPECT_EQ(second.options.tileM, 32);
   EXPECT_DOUBLE_EQ(second.record.gflops, 123.0);
   EXPECT_EQ(searches.load(), 1);
   EXPECT_EQ(reloaded.stats().tuneDbHits, 1);
   EXPECT_EQ(reloaded.stats().tuneSearches, 0);
-}
-
-TEST(ResolveSchedule, TuningDirFallsBackToCacheDirTune) {
-  const sunway::ArchConfig arch;
-  KernelServiceConfig config;
-  config.cacheDir = scratchDir("resolve_fallback");
-
-  std::atomic<int> searches{0};
-  KernelService service(arch, config);
-  service.setSearchFnForTest(countingSearch(&searches));
-  service.resolveSchedule(core::CodegenOptions{}, {96, 96, 96});
-
-  // The record must land under `<cacheDir>/tune/v1/`.
-  const std::string path = service.tuningDbPath(canonicalTuneKey(
-      core::CodegenOptions{}, arch, core::GemmProblem{96, 96, 96}));
-  EXPECT_NE(path.find(config.cacheDir), std::string::npos);
-  EXPECT_NE(path.find("tune"), std::string::npos);
-  EXPECT_TRUE(fs::exists(path));
 }
 
 TEST(ResolveSchedule, NoDirectoriesStillSearches) {
@@ -363,7 +345,7 @@ TEST(ResolveSchedule, CorruptDbEntryTriggersReSearch) {
   KernelService third(arch, config);
   third.setSearchFnForTest(countingSearch(&searches));
   EXPECT_EQ(third.resolveSchedule(core::CodegenOptions{}, problem).source,
-            KernelService::ResolvedSchedule::Source::kDiskHit);
+            KernelService::ResolvedSchedule::Source::kTuningDb);
   EXPECT_EQ(searches.load(), 2);
 }
 
@@ -390,7 +372,7 @@ TEST(ResolveSchedule, EndToEndRealSearchCompilesByteIdentically) {
   KernelService second(arch, config);
   const KernelService::ResolvedSchedule b =
       second.resolveSchedule(core::CodegenOptions{}, problem);
-  EXPECT_EQ(b.source, KernelService::ResolvedSchedule::Source::kDiskHit);
+  EXPECT_EQ(b.source, KernelService::ResolvedSchedule::Source::kTuningDb);
   const KernelService::KernelPtr kernelB = second.compile(b.options);
 
   EXPECT_EQ(kernelA->cpeSource, kernelB->cpeSource);

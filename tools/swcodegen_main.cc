@@ -5,16 +5,18 @@
 //
 //   swcodegen input.c [-o PREFIX] [--no-use-asm] [--no-rma] [--no-hiding]
 //             [--dump-schedule] [--estimate M N K [B]]
-//             [--profile] [--trace OUT.json] [--cache-dir DIR]
-//   swcodegen --warm SHAPES | --serve-batch FILE  [--cache-dir DIR] [-j N]
-//   swcodegen --tune M N K [B]  [--tuning-dir DIR] [--cache-dir DIR]
+//             [--profile] [--trace OUT.json]
+//   swcodegen --warm SHAPES | --serve-batch FILE  [-j N]
+//   swcodegen --tune M N K [B]  [--tuning-dir DIR]
 //
 // --batch is detected automatically from the input program (a 4-deep nest
 // over 3D arrays), as are the fusion patterns; the explicit flags mirror
-// the paper's tool for the ablation variants.  With --cache-dir (or
-// $SWCODEGEN_CACHE_DIR) compiles are served through the kernel service's
-// persistent cache; --warm/--serve-batch compile many option variants
-// concurrently on the service's thread pool.
+// the paper's tool for the ablation variants.  Compiles are served through
+// the kernel service's in-memory cache; --warm/--serve-batch compile many
+// option variants concurrently on the service's thread pool.  Kernels are
+// recompiled in every process (a compile takes about a millisecond); the
+// persistent stores are the tuning database (--tuning-dir) and the native
+// engine's .so cache.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,7 +29,6 @@
 
 #include "core/compiler.h"
 #include "core/gemm_runner.h"
-#include "core/kernel_serdes.h"
 #include "core/sharded_gemm.h"
 #include "service/kernel_service.h"
 #include "service/soak.h"
@@ -95,9 +96,6 @@ void usage(std::FILE* out) {
       "  --trace OUT.json   write a Chrome trace-event file (open in\n"
       "                     https://ui.perfetto.dev): compile spans plus\n"
       "                     per-CPE simulated-clock timelines\n"
-      "  --cache-dir DIR    persistent kernel cache: repeated compiles of\n"
-      "                     the same options+architecture are served from\n"
-      "                     disk without re-running the pipeline\n"
       "  --tune M N K [B]   search the schedule space for the shape (two\n"
       "                     stages: estimator ranking, then measured mesh\n"
       "                     validation of the top candidates), print the\n"
@@ -105,7 +103,8 @@ void usage(std::FILE* out) {
       "                     INPUT.c needed.  Repeat invocations are served\n"
       "                     from the tuning database without re-searching\n"
       "  --tuning-dir DIR   persistent tuning database for --tune (default:\n"
-      "                     <cache-dir>/tune when --cache-dir is set)\n"
+      "                     $SWCODEGEN_TUNING_DIR; without either, every\n"
+      "                     --tune searches)\n"
       "  --inject SPEC      run a chaos smoke: functional mesh run under a\n"
       "                     deterministic fault plan with retry and\n"
       "                     graceful degradation.  SPEC is ';'-separated\n"
@@ -145,7 +144,6 @@ void usage(std::FILE* out) {
       "environment:\n"
       "  SWCODEGEN_LOG         debug|info|warn — structured log threshold\n"
       "  SWCODEGEN_TRACE       path — enable tracing and write there on exit\n"
-      "  SWCODEGEN_CACHE_DIR   default for --cache-dir\n"
       "  SWCODEGEN_TUNING_DIR  default for --tuning-dir\n"
       "  SWCODEGEN_WATCHDOG_MS default for --watchdog-ms\n"
       "  SWCODEGEN_CC          host compiler for --engine native (then $CC,\n"
@@ -616,7 +614,7 @@ int runTuneMode(sw::service::KernelService& service,
                                  : ", stored in ",
                   dbPath.c_str());
       break;
-    case sw::service::KernelService::ResolvedSchedule::Source::kDiskHit:
+    case sw::service::KernelService::ResolvedSchedule::Source::kTuningDb:
       std::printf("schedule source: tuning-db (disk hit, search not "
                   "re-run: %s)\n",
                   dbPath.c_str());
@@ -671,12 +669,10 @@ int reportBatch(sw::service::KernelService& service,
   }
   const sw::service::KernelServiceStats stats = service.stats();
   std::printf("\nbatch of %zu requests in %.3f ms: %lld compiled, "
-              "%lld memory hits, %lld disk hits, %lld shared "
-              "(hit rate %.1f%%)\n",
+              "%lld memory hits, %lld shared (hit rate %.1f%%)\n",
               results.size(), wallMs,
               static_cast<long long>(stats.compiles),
               static_cast<long long>(stats.memoryHits),
-              static_cast<long long>(stats.diskHits),
               static_cast<long long>(stats.shared),
               100.0 * stats.hitRate());
   return failures == 0 ? 0 : 1;
@@ -688,7 +684,6 @@ int main(int argc, char** argv) {
   std::string inputPath;
   std::string outputPrefix;
   std::string tracePath;
-  std::string cacheDir;
   std::string tuningDir;
   std::string warmShapes;
   std::string batchManifestPath;
@@ -758,13 +753,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       tracePath = argv[++i];
-    } else if (arg == "--cache-dir") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "swcodegen: --cache-dir requires a directory path\n");
-        return 2;
-      }
-      cacheDir = argv[++i];
     } else if (arg == "--tuning-dir") {
       if (i + 1 >= argc) {
         std::fprintf(stderr,
@@ -924,10 +912,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (cacheDir.empty()) {
-    const char* env = std::getenv("SWCODEGEN_CACHE_DIR");
-    if (env != nullptr && env[0] != '\0') cacheDir = env;
-  }
   if (tuningDir.empty()) {
     const char* env = std::getenv("SWCODEGEN_TUNING_DIR");
     if (env != nullptr && env[0] != '\0') tuningDir = env;
@@ -1004,7 +988,6 @@ int main(int argc, char** argv) {
 
   try {
     sw::service::KernelServiceConfig serviceConfig;
-    serviceConfig.cacheDir = cacheDir;
     serviceConfig.tuningDir = tuningDir;
     serviceConfig.threads = static_cast<int>(jobs);
     if (groups > 1)
@@ -1067,16 +1050,9 @@ int main(int argc, char** argv) {
     const sw::core::SwGemmCompiler compiler;  // estimate/smoke share arch
     // Every single-kernel compile is served through the kernel service so
     // the request latency histogram and the service gauges cover the CLI
-    // path too; without --cache-dir the service simply has no disk tier.
-    sw::service::ServeOutcome outcome = sw::service::ServeOutcome::kCompiled;
+    // path too.
     sw::core::CompiledKernel kernel =
-        service.compileSource(readFile(inputPath), options, &outcome);
-    if (outcome == sw::service::ServeOutcome::kMemoryHit ||
-        outcome == sw::service::ServeOutcome::kDiskHit) {
-      std::printf("cache hit (%s): pipeline not re-run, kernel served "
-                  "from %s\n",
-                  sw::service::toString(outcome), cacheDir.c_str());
-    }
+        service.compileSource(readFile(inputPath), options);
 
     if (dumpSchedule) {
       std::printf("--- initial schedule tree ---\n%s\n",
